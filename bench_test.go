@@ -493,9 +493,8 @@ func BenchmarkNoCRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkFDWorkers measures the deterministic parallel FD speedup (build
-// phases plus the selection sweep) on a larger instance, against the
-// full-sort sequential oracle.
+// BenchmarkFDWorkers measures the deterministic parallel FD speedup (the
+// build phases; the sweep is sequential) on a larger instance.
 func BenchmarkFDWorkers(b *testing.B) {
 	wl, err := expt.WorkloadByName("DNN_16M")
 	if err != nil {
@@ -520,7 +519,6 @@ func BenchmarkFDWorkers(b *testing.B) {
 			}
 		})
 	}
-	run("fullsort", mapping.FDConfig{Workers: 1, FullSort: true})
 	for _, workers := range []int{1, 2, 4} {
 		run(fmt.Sprintf("workers=%d", workers), mapping.FDConfig{Workers: workers})
 	}

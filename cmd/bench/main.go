@@ -299,13 +299,10 @@ func main() {
 		}
 	}), 0)
 
-	// --- FD fine-tuning: deterministic parallel sweep on a large mesh ---
-	// fd-finetune/fullsort is the historical implementation (full queue
-	// sort per iteration, strictly sequential tension evaluation);
-	// fd-finetune/workers=1 measures the top-λ partial selection alone
-	// (speedup vs fullsort), and workers=N the worker-scaled sweep
-	// (speedup vs workers=1 — needs GOMAXPROCS > 1 to move, see the
-	// per-record gomaxprocs field).
+	// --- FD fine-tuning: build-phase worker scaling on a large mesh ---
+	// fd-finetune/workers=1 is the sequential base; workers=N parallelizes
+	// the build phases (speedup vs workers=1 — needs GOMAXPROCS > 1 to
+	// move, see the per-record gomaxprocs field).
 	fdSide, fdWl, fdIterCap := 256, "synthetic-256x256", 3
 	if smoke {
 		fdSide, fdWl, fdIterCap = 96, "synthetic-96x96", 2
@@ -324,18 +321,12 @@ func main() {
 			}
 		})
 	}
-	fullSort := benchFD(mapping.FDConfig{Workers: 1, FullSort: true})
-	add("fd-finetune/fullsort", fdWl, fullSort, 0)
 	var fdSeqNs int64
 	for _, workers := range sweepFromEnv("BENCH_FD_WORKERS", []int{1, 2, 4, 8}) {
 		r := benchFD(mapping.FDConfig{Workers: workers})
 		if workers == 1 {
 			fdSeqNs = r.NsPerOp()
-			speedup := 0.0
-			if r.NsPerOp() > 0 {
-				speedup = float64(fullSort.NsPerOp()) / float64(r.NsPerOp())
-			}
-			add("fd-finetune/workers=1", fdWl, r, speedup)
+			add("fd-finetune/workers=1", fdWl, r, 0)
 		} else {
 			addParallel(fmt.Sprintf("fd-finetune/workers=%d", workers), fdWl, r, fdSeqNs)
 		}

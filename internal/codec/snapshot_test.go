@@ -53,7 +53,7 @@ func snapshotsEqual(tb testing.TB, a, b *mapping.Snapshot) {
 		tb.Fatalf("potential fingerprint differs: %q/%g/%g vs %q/%g/%g",
 			a.Potential, a.PotUnit, a.PotZero, b.Potential, b.PotUnit, b.PotZero)
 	}
-	if a.Lambda != b.Lambda || a.MinGain != b.MinGain || a.FullSort != b.FullSort {
+	if a.Lambda != b.Lambda || a.MinGain != b.MinGain {
 		tb.Fatalf("config fingerprint differs")
 	}
 	if a.Clusters != b.Clusters || a.Edges != b.Edges {
@@ -174,7 +174,7 @@ func TestReadSnapshotRejectsCorruption(t *testing.T) {
 		{"version skew", patch(0, []byte("SNNCKP99")), "unsupported snapshot version"},
 		{"unknown flags", patch(8, le64(0x10)), "unknown flags"},
 		{"negative name length", patch(16, le64(1<<63)), "name length"},
-		{"huge name length", patch(16, le64(1 << 20)), "name length"},
+		{"huge name length", patch(16, le64(1<<20)), "name length"},
 		{"truncated header", valid[:20], ""},
 		{"truncated mid-placement", valid[:len(valid)/2], ""},
 		{"truncated by one byte", valid[:len(valid)-1], ""},
@@ -229,7 +229,7 @@ func TestReadSnapshotPCNFingerprintMismatch(t *testing.T) {
 
 // TestResumeAfterCodecRoundTrip is the end-to-end crash-safety property: a
 // snapshot that has been through the on-disk format resumes bit-identically
-// to the uninterrupted run.
+// to the uninterrupted run, whatever its reserved byte holds.
 func TestResumeAfterCodecRoundTrip(t *testing.T) {
 	p := samplePCN(t, 5, 40, 300)
 	rows := (p.NumClusters+4)/5 + 1
@@ -268,21 +268,34 @@ func TestResumeAfterCodecRoundTrip(t *testing.T) {
 		if err := WriteSnapshot(&buf, snap); err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
+		// Older writers stored 1 in the reserved byte for a run with a
+		// fully sorted queue, which is every queue this build writes; such
+		// a file must decode and resume identically.
+		reserved := 24 + len(snap.Potential) + 4*8
+		if buf.Bytes()[reserved] != 0 {
+			t.Fatalf("reserved byte written as %d, want 0", buf.Bytes()[reserved])
 		}
-		// Resume purely from the file contents: nil PCN, embedded one used.
-		pl, stats, err := mapping.ResumeFinetune(context.Background(), nil, decoded, mapping.FDConfig{Potential: mapping.L2Sq{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats.Elapsed, oracleStats.Elapsed = 0, 0
-		if stats != oracleStats {
-			t.Fatalf("resume from iteration %d: stats %+v, oracle %+v", snap.Stats.Iterations, stats, oracleStats)
-		}
-		if !slices.Equal(pl.PosOf, oracle.PosOf) {
-			t.Fatalf("resume from iteration %d: placement diverged from oracle", snap.Stats.Iterations)
+		legacy := slices.Clone(buf.Bytes())
+		legacy[reserved] = 1
+		for _, data := range [][]byte{buf.Bytes(), legacy} {
+			decoded, err := ReadSnapshot(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Resume purely from the file contents: nil PCN, embedded one used.
+			pl, stats, err := mapping.ResumeFinetune(context.Background(), nil, decoded, mapping.FDConfig{Potential: mapping.L2Sq{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats.Elapsed, oracleStats.Elapsed = 0, 0
+			if stats != oracleStats {
+				t.Fatalf("resume from iteration %d (reserved byte %d): stats %+v, oracle %+v",
+					snap.Stats.Iterations, data[reserved], stats, oracleStats)
+			}
+			if !slices.Equal(pl.PosOf, oracle.PosOf) {
+				t.Fatalf("resume from iteration %d (reserved byte %d): placement diverged from oracle",
+					snap.Stats.Iterations, data[reserved])
+			}
 		}
 	}
 }

@@ -37,10 +37,6 @@ type Snapshot struct {
 	// initial energy, which a resumed run no longer observes.
 	Lambda  float64
 	MinGain float64
-	// FullSort records the queue-ordering mode (it changes the executed
-	// swap sequence only via floating-point tie details in sort stability,
-	// so resume pins it).
-	FullSort bool
 	// Clusters and Edges fingerprint the PCN the snapshot belongs to.
 	Clusters int
 	Edges    int64
@@ -77,7 +73,6 @@ func (e *fdEngine) snapshot(queue []pairTension, stats FDStats, minGain float64)
 		PotZero:       e.pot.AtZero(),
 		Lambda:        e.lambda,
 		MinGain:       minGain,
-		FullSort:      e.fullSort,
 		Clusters:      e.p.NumClusters,
 		Edges:         e.p.NumEdges(),
 		Stats:         stats,
@@ -175,8 +170,8 @@ func (s *Snapshot) Validate() error {
 // (freshly cloned) placement it worked on together with the cumulative
 // statistics. p may be nil when the snapshot embeds its PCN; when both are
 // given, p is used but must match the snapshot's fingerprint. cfg must agree
-// with the run that produced the snapshot on Potential, Lambda, FullSort,
-// and (if explicitly set) MinGain — any other combination would not
+// with the run that produced the snapshot on Potential, Lambda and (if
+// explicitly set) MinGain — any other combination would not
 // reproduce the uninterrupted run and is rejected with ErrBadConfig. Budget,
 // MaxIterations, Workers, Checkpoint, Defects and Constraints are the
 // caller's to choose: Budget caps this run's wall clock (resumed runs get a
@@ -214,10 +209,6 @@ func ResumeFinetune(ctx context.Context, p *pcn.PCN, snap *Snapshot, cfg FDConfi
 	if cfg.Lambda != snap.Lambda {
 		return nil, FDStats{}, fmt.Errorf("mapping: resume: %w: lambda %g does not match snapshot's %g",
 			ErrBadConfig, cfg.Lambda, snap.Lambda)
-	}
-	if cfg.FullSort != snap.FullSort {
-		return nil, FDStats{}, fmt.Errorf("mapping: resume: %w: FullSort %v does not match snapshot's %v",
-			ErrBadConfig, cfg.FullSort, snap.FullSort)
 	}
 	if cfg.MinGain > 0 && cfg.MinGain != snap.MinGain {
 		return nil, FDStats{}, fmt.Errorf("mapping: resume: %w: MinGain %g does not match snapshot's resolved %g",

@@ -25,12 +25,8 @@ func finalState(pos []int32, stats FDStats) ([]int32, FDStats) {
 // run's placement and FDStats bit-identically, for workers ∈ {1, 2, 4, 7}.
 // The snapshots are collected from a sequential run and resumed at every
 // worker count, so the matrix also re-verifies the Workers contract across
-// the serialization boundary of the engine state. Run under -race this
-// doubles as the data-race check for resumed parallel sweeps.
+// the serialization boundary of the engine state.
 func TestResumeEquivalenceMatrix(t *testing.T) {
-	defer func(old int) { sweepParallelMin = old }(sweepParallelMin)
-	sweepParallelMin = 8
-
 	mesh := hw.MustMesh(22, 22)
 	p := randomPCN(t, 41, 440, 3200)
 	newPl := func() *place.Placement {
@@ -43,7 +39,7 @@ func TestResumeEquivalenceMatrix(t *testing.T) {
 
 	// Uninterrupted oracle.
 	oraclePl := newPl()
-	oracleStats, err := Finetune(p, oraclePl, FDConfig{Potential: L2Sq{}, Workers: 1, FullSort: true})
+	oracleStats, err := Finetune(p, oraclePl, FDConfig{Potential: L2Sq{}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +152,6 @@ func TestResumeRejectsMismatches(t *testing.T) {
 		}},
 		{"wrong lambda", func() error {
 			_, _, err := ResumeFinetune(context.Background(), p, snap, FDConfig{Potential: L2Sq{}, Lambda: 0.5})
-			return err
-		}},
-		{"wrong fullsort", func() error {
-			_, _, err := ResumeFinetune(context.Background(), p, snap, FDConfig{Potential: L2Sq{}, FullSort: true})
 			return err
 		}},
 		{"wrong mingain", func() error {

@@ -5,12 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 	"time"
 
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
 	"snnmap/internal/obs"
+	"snnmap/internal/par"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
@@ -46,40 +47,24 @@ type FDConfig struct {
 	// scales apply to. The zero value means unconstrained (degraded cores
 	// then only differ from healthy ones when dead).
 	Constraints hw.Constraints
-	// Workers parallelizes the O(|E|) build phases (initial forces, the
-	// initial tension queue, and energy accounting) and the sweep itself:
-	// each iteration's tension recomputation in nextQueue fans out over
-	// index-addressed slots, and the top-λ swap batch is speculatively
-	// pre-evaluated in parallel before the sequential apply phase
-	// (entries whose cells an earlier swap of the same batch touched are
-	// re-evaluated in place, so the executed swap sequence is exactly
-	// Algorithm 3's). Results are bit-identical regardless of the value:
-	// force cells are disjoint, the queue's total order fixes the
-	// consumed prefix, energy partial sums use a fixed chunk layout
-	// reduced in chunk order, and every parallel tension evaluation is a
-	// pure per-pair function. 0 or 1 means sequential (the paper's
-	// single-threaded C++ setting).
+	// Workers parallelizes the O(|E|) build phases: the initial forces,
+	// the initial tension queue and energy accounting. The sweep itself is
+	// sequential. Results are bit-identical regardless of the value: force
+	// cells are disjoint, the queue is fully sorted by a total order, and
+	// energy partial sums use a fixed chunk layout reduced in chunk order.
+	// 0 or 1 means sequential (the paper's single-threaded C++ setting).
 	Workers int
-	// FullSort disables the top-⌈λ·|Q|⌉ partial queue selection and every
-	// sweep-phase parallel path, running the original implementation:
-	// full queue sort per iteration, strictly sequential tension
-	// evaluation. The output is bit-identical either way; the flag exists
-	// as the oracle for the equivalence suite and as the baseline of the
-	// fd-finetune benchmark tier in cmd/bench. Build-phase parallelism
-	// (Workers) is unaffected.
-	FullSort bool
 	// Checkpoint, when non-nil, snapshots the fine-tuning state so an
 	// interrupted run can continue with ResumeFinetune instead of
 	// restarting. Snapshots are taken at iteration boundaries only, where
 	// the engine state is exactly a loop-head state — the invariant that
 	// makes resumption bit-identical to the uninterrupted run.
 	Checkpoint *CheckpointConfig
-	// Obs receives per-sweep spans, counters (swaps, tension checks,
-	// speculation hits, queue sizes), and throttled progress; nil disables
-	// telemetry. Observe-only: hot-loop bookkeeping stays in plain local
-	// counters published at sweep boundaries, so attaching an observer
-	// never changes the placement or FDStats produced. Not part of
-	// snapshots.
+	// Obs receives per-sweep spans, counters (swaps, tension checks, queue
+	// sizes), and throttled progress; nil disables telemetry. Observe-only:
+	// hot-loop bookkeeping stays in plain local counters published at sweep
+	// boundaries, so attaching an observer never changes the placement or
+	// FDStats produced. Not part of snapshots.
 	Obs *obs.Observer
 }
 
@@ -270,12 +255,12 @@ func (e *fdEngine) run(ctx context.Context, cfg FDConfig, queue []pairTension, s
 		// Telemetry wraps the sweep with a span and publishes the hot-loop
 		// counters as before/after deltas; everything here is observe-only.
 		var sweepSp obs.Span
-		var swaps0, checks0, spec0 int64
+		var swaps0, checks0 int64
 		if cfg.Obs.Enabled() {
 			sweepSp = cfg.Obs.Span("fd.sweep",
 				obs.KV{K: "iter", V: float64(stats.Iterations)},
 				obs.KV{K: "queue", V: float64(len(queue))})
-			swaps0, checks0, spec0 = stats.Swaps, stats.TensionChecks, e.specHits
+			swaps0, checks0 = stats.Swaps, stats.TensionChecks
 		}
 
 		// Swap the top λ fraction of the queue (lines 17-29).
@@ -291,7 +276,6 @@ func (e *fdEngine) run(ctx context.Context, cfg FDConfig, queue []pairTension, s
 			sweepSp.End(
 				obs.KV{K: "swaps", V: float64(stats.Swaps - swaps0)},
 				obs.KV{K: "checks", V: float64(stats.TensionChecks - checks0)},
-				obs.KV{K: "spec_hits", V: float64(e.specHits - spec0)},
 				obs.KV{K: "next_queue", V: float64(len(queue))})
 			cfg.Obs.Progress("fd", int64(stats.Iterations), int64(cfg.MaxIterations))
 		}
@@ -331,17 +315,8 @@ type fdEngine struct {
 	// swap ΔE_s, so the mutual edge — whose length a swap cannot change —
 	// must not be counted).
 	unitCorr float64
-	// lambda is the queue fraction consumed per iteration; the rebuilt
-	// queue only needs its top ⌈λ·|Q|⌉ prefix ordered (selectTop).
+	// lambda is the queue fraction consumed per iteration.
 	lambda float64
-	// sweepWorkers is the goroutine count for sweep-phase tension
-	// evaluation (nextQueue recomputation and speculative batch
-	// pre-evaluation); 1 when the run is sequential or FullSort pins the
-	// oracle behavior.
-	sweepWorkers int
-	// fullSort switches finalizeQueue back to the full per-iteration sort
-	// (the equivalence-test oracle).
-	fullSort bool
 	// spareStart is the first mesh row reserved as a hot spare
 	// (Constraints.SpareRows); pairs reaching into a reserved row report
 	// zero tension so fine-tuning never occupies the spares. Equal to
@@ -356,62 +331,41 @@ type fdEngine struct {
 	// pair id's two cells (0 when either is empty or they are unconnected),
 	// so tension() never binary-searches the adjacency. A swap changes the
 	// occupants of exactly two cells, so swapPair rebuilds only the ≤ 8 pair
-	// entries touching them; both cells are epoch-stamped by the same swap,
-	// which is what keeps speculative batch tensions consistent (batchDirty
-	// fires whenever a pair's mutw could have changed).
+	// entries touching them.
 	mutw []float64
 	// pairScratch is reusable swapPair scratch for the pair ids whose mutw a
 	// swap invalidates (sequential use only).
 	pairScratch []int32
 
-	// Epoch-stamped membership marks for queue and affected-list dedupe,
-	// plus per-cell stamps recording which cells the current epoch's swaps
-	// have touched (speculative-tension invalidation, see batchDirty).
+	// Epoch-stamped membership marks for queue and affected-list dedupe.
 	pairMark    []int32
 	clusterMark []int32
-	cellStamp   []int32
 	epoch       int32
 	affected    []int32 // clusters affected in the current epoch
 
-	// Reusable sweep scratch: candidate pair ids (nextQueue) and tension
-	// slots (nextQueue recomputation and batch speculation), hoisted here
+	// ids is reusable nextQueue scratch for candidate pair ids, hoisted here
 	// so steady-state iterations allocate nothing.
-	ids  []int32
-	tens []float64
-
-	// specHits counts batch entries whose speculated tension was consumed
-	// verbatim. Telemetry only, published per sweep through FDConfig.Obs —
-	// deliberately NOT part of FDStats: the speculation path only runs with
-	// Workers > 1, so the value is worker-dependent while FDStats must stay
-	// bit-identical at any worker count.
-	specHits int64
+	ids []int32
 }
 
 func newFDEngine(p *pcn.PCN, pl *place.Placement, cfg FDConfig) *fdEngine {
 	mesh := pl.Mesh
-	sweepWorkers := cfg.Workers
-	if sweepWorkers < 1 || cfg.FullSort {
-		sweepWorkers = 1
-	}
 	e := &fdEngine{
-		p:            p,
-		und:          p.Undirected(),
-		pl:           pl,
-		mesh:         mesh,
-		pot:          cfg.Potential,
-		defects:      cfg.Defects,
-		cons:         cfg.Constraints,
-		unitCorr:     2 * (cfg.Potential.AtUnit() - cfg.Potential.AtZero()),
-		lambda:       cfg.Lambda,
-		sweepWorkers: sweepWorkers,
-		fullSort:     cfg.FullSort,
-		spareStart:   int32(cfg.Constraints.UsableRows(mesh)),
-		force:        make([]float64, 4*mesh.Cores()),
-		mutw:         make([]float64, 2*mesh.Cores()),
-		pairScratch:  make([]int32, 0, 8),
-		pairMark:     make([]int32, 2*mesh.Cores()),
-		clusterMark:  make([]int32, p.NumClusters),
-		cellStamp:    make([]int32, mesh.Cores()),
+		p:           p,
+		und:         p.Undirected(),
+		pl:          pl,
+		mesh:        mesh,
+		pot:         cfg.Potential,
+		defects:     cfg.Defects,
+		cons:        cfg.Constraints,
+		unitCorr:    2 * (cfg.Potential.AtUnit() - cfg.Potential.AtZero()),
+		lambda:      cfg.Lambda,
+		spareStart:  int32(cfg.Constraints.UsableRows(mesh)),
+		force:       make([]float64, 4*mesh.Cores()),
+		mutw:        make([]float64, 2*mesh.Cores()),
+		pairScratch: make([]int32, 0, 8),
+		pairMark:    make([]int32, 2*mesh.Cores()),
+		clusterMark: make([]int32, p.NumClusters),
 	}
 	cols, rows := int32(mesh.Cols), int32(mesh.Rows)
 	for idx := int32(0); idx < int32(mesh.Cores()); idx++ {
@@ -443,48 +397,32 @@ func (e *fdEngine) systemEnergy(lo, hi int) float64 {
 	return total
 }
 
-// energyChunk is the fixed cluster-range size of one E_s partial sum. The
-// chunk layout depends only on the cluster count — never on the worker
-// count — so reducing the partials in chunk order yields the same float for
-// any FDConfig.Workers even when individual contributions are not exactly
+// buildChunk is the fixed chunk size of the parallel build phases: clusters
+// per E_s partial sum, cells per force or queue scan chunk. The layout
+// depends only on the problem size — never on the worker count — so
+// reducing E_s partials in chunk order yields the same float for any
+// FDConfig.Workers even when individual contributions are not exactly
 // representable (the Eq. 25 energy potential).
-const energyChunk = 4096
+const buildChunk = 4096
+
+// buildChunks runs fn(ci, lo, hi) for the buildChunk-sized chunks of
+// [0, n) on the given worker count.
+func buildChunks(workers, n int, fn func(ci, lo, hi int)) {
+	par.Do(workers, (n+buildChunk-1)/buildChunk, func(ci int) {
+		lo := ci * buildChunk
+		fn(ci, lo, min(lo+buildChunk, n))
+	})
+}
 
 // systemEnergyParallel computes E_s with the given worker count. Partial
 // sums are produced per fixed chunk and reduced in chunk order, so the
 // result is identical for any worker count.
 func (e *fdEngine) systemEnergyParallel(workers int) float64 {
 	n := e.p.NumClusters
-	if n <= energyChunk {
-		return e.systemEnergy(0, n)
-	}
-	chunks := (n + energyChunk - 1) / energyChunk
-	partial := make([]float64, chunks)
-	fill := func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			clo := c * energyChunk
-			partial[c] = e.systemEnergy(clo, min(clo+energyChunk, n))
-		}
-	}
-	if workers <= 1 {
-		fill(0, chunks)
-	} else {
-		per := (chunks + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * per
-			hi := min(lo+per, chunks)
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				fill(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+	partial := make([]float64, (n+buildChunk-1)/buildChunk)
+	buildChunks(workers, n, func(ci, lo, hi int) {
+		partial[ci] = e.systemEnergy(lo, hi)
+	})
 	var total float64
 	for _, p := range partial {
 		total += p
@@ -496,37 +434,13 @@ func (e *fdEngine) systemEnergyParallel(workers int) float64 {
 // in parallel (cells are disjoint, the placement is immutable during the
 // build, so the result is identical for any worker count).
 func (e *fdEngine) buildAllForces(workers int) {
-	cores := int32(e.mesh.Cores())
-	if workers <= 1 || cores < 4096 {
-		for idx := int32(0); idx < cores; idx++ {
+	buildChunks(workers, e.mesh.Cores(), func(_, lo, hi int) {
+		for idx := int32(lo); idx < int32(hi); idx++ {
 			if e.pl.ClusterAt[idx] != place.None {
 				e.rebuildForce(idx)
 			}
 		}
-		return
-	}
-	chunk := (int(cores) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := int32(w * chunk)
-		hi := lo + int32(chunk)
-		if hi > cores {
-			hi = cores
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int32) {
-			defer wg.Done()
-			for idx := lo; idx < hi; idx++ {
-				if e.pl.ClusterAt[idx] != place.None {
-					e.rebuildForce(idx)
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }
 
 // dirValid reports whether moving from cell pt in direction d stays on-mesh.
@@ -671,30 +585,16 @@ func (e *fdEngine) beginEpoch() {
 }
 
 // applyBatch executes the swap phase of one iteration (Alg. 3 lines 17-29)
-// on the queue's top-λ prefix. With sweep workers the whole batch's
-// tensions are speculatively evaluated in parallel first; the apply loop —
-// strictly sequential, preserving Algorithm 3's swap order — then consumes
-// a speculated value verbatim unless an earlier swap of the same batch
-// stamped one of the pair's cells, in which case it re-evaluates in place.
-// Either way each entry costs exactly one logical tension check, so
-// FDStats is bit-identical to the sequential oracle.
+// on the queue's top-λ prefix, re-checking each pair's tension against the
+// swaps already executed in the batch.
 func (e *fdEngine) applyBatch(ctx context.Context, batch []pairTension, minGain float64, stats *FDStats) {
-	spec := e.speculate(batch)
-	for i := range batch {
+	for i, pt := range batch {
 		if i&8191 == 8191 && ctx.Err() != nil {
 			break // finish the epoch bookkeeping, fail at the loop head
 		}
-		id := batch[i].id
-		var t float64
-		if spec != nil && !e.batchDirty(id) {
-			t = spec[i]
-			e.specHits++
-		} else {
-			t = e.tension(id)
-		}
 		stats.TensionChecks++
-		if t > minGain {
-			e.swapPair(id)
+		if e.tension(pt.id) > minGain {
+			e.swapPair(pt.id)
 			stats.Swaps++
 		}
 	}
@@ -709,9 +609,7 @@ func (e *fdEngine) markAffected(c int32) {
 
 // swapPair executes the swap of pair id (Alg. 3 lines 20-27): exchange the
 // two cells' contents, rebuild their forces, incrementally maintain the
-// forces of every connected cluster, and record affected clusters. Every
-// cell whose occupant or force slots change is stamped with the current
-// epoch so applyBatch knows which speculated tensions the swap invalidated.
+// forces of every connected cluster, and record affected clusters.
 func (e *fdEngine) swapPair(id int32) {
 	a, b, _ := e.pairCells(id)
 	ca, cb := e.pl.ClusterAt[a], e.pl.ClusterAt[b]
@@ -720,8 +618,6 @@ func (e *fdEngine) swapPair(id int32) {
 	e.pl.SwapCores(a, b)
 	e.rebuildForce(a)
 	e.rebuildForce(b)
-	e.cellStamp[a] = e.epoch
-	e.cellStamp[b] = e.epoch
 	// The swap changed the occupants of cells a and b, invalidating the
 	// cached mutual weights of every pair touching either cell.
 	e.pairScratch = e.pairsTouching(a, e.pairScratch[:0])
@@ -765,7 +661,6 @@ func (e *fdEngine) maintainNeighbors(moved, other int32, oldPos, newPos geom.Poi
 			e.force[base+int(d)] += w * ((uNew - e.pot.Eval(newDP.Sub(dd))) -
 				(uOld - e.pot.Eval(oldDP.Sub(dd))))
 		}
-		e.cellStamp[pkIdx] = e.epoch
 		e.markAffected(to)
 	}
 }
@@ -791,70 +686,36 @@ func (e *fdEngine) pairsTouching(idx int32, out []int32) []int32 {
 }
 
 // initialQueue builds the first tension queue (Alg. 3 lines 6-13): all
-// adjacent pairs with positive tension, ordered by finalizeQueue. The scan
-// parallelizes per cell range (chunks are concatenated in chunk order, so
-// the pre-selection sequence is the cell order either way); the final
-// total-order selection makes the result independent of the worker count.
+// adjacent pairs with positive tension, fully sorted by queueCmp. The scan
+// parallelizes per cell chunk; the total-order sort makes the result
+// independent of the worker count.
 func (e *fdEngine) initialQueue(workers int) []pairTension {
-	cores := int32(e.mesh.Cores())
-	scan := func(lo, hi int32) []pairTension {
-		var out []pairTension
+	cores := e.mesh.Cores()
+	parts := make([][]pairTension, (cores+buildChunk-1)/buildChunk)
+	buildChunks(workers, cores, func(ci, lo, hi int) {
 		var scratch [4]int32
-		for idx := lo; idx < hi; idx++ {
+		for idx := int32(lo); idx < int32(hi); idx++ {
 			for _, id := range e.pairsTouching(idx, scratch[:0]) {
 				if id/2 != idx {
 					continue // enumerate each pair from its first cell only
 				}
 				if t := e.tension(id); t > 0 {
-					out = append(out, pairTension{id: id, tension: t})
+					parts[ci] = append(parts[ci], pairTension{id: id, tension: t})
 				}
 			}
 		}
-		return out
-	}
-	var queue []pairTension
-	if workers <= 1 || cores < 4096 {
-		queue = scan(0, cores)
-	} else {
-		chunk := (int(cores) + workers - 1) / workers
-		parts := make([][]pairTension, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := int32(w * chunk)
-			hi := lo + int32(chunk)
-			if hi > cores {
-				hi = cores
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(w int, lo, hi int32) {
-				defer wg.Done()
-				parts[w] = scan(lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, part := range parts {
-			queue = append(queue, part...)
-		}
-	}
-	e.finalizeQueue(queue)
+	})
+	queue := slices.Concat(parts...)
+	sortQueue(queue)
 	return queue
 }
 
 // nextQueue implements Alg. 3 lines 30-40: start from the current queue,
 // add all pairs touching affected clusters, recompute every tension, drop
-// non-positive pairs, order the result (finalizeQueue). Candidate ids are
-// collected sequentially in deterministic order; their tensions — pure
-// per-pair functions of engine state that is frozen for the rest of the
-// iteration — are evaluated into index-addressed slots, in parallel when
-// the sweep has workers and the candidate set is large enough, then
-// filtered sequentially. The rebuilt queue is therefore identical at any
-// worker count.
+// non-positive pairs and sort the result.
 func (e *fdEngine) nextQueue(queue []pairTension, minGain float64, checks *int64) []pairTension {
 	// Mark pairs already queued (dedupe epoch shared with pairMark).
-	e.epoch++ // fresh epoch for pair marks; cluster and cell marks are stale now
+	e.epoch++ // fresh epoch for pair marks; cluster marks are stale now
 	ids := e.ids[:0]
 	for _, pt := range queue {
 		if e.pairMark[pt.id] != e.epoch {
@@ -872,41 +733,14 @@ func (e *fdEngine) nextQueue(queue []pairTension, minGain float64, checks *int64
 		}
 	}
 	e.ids = ids[:0] // keep the grown buffer for the next iteration
-
-	tens := e.tensionScratch(len(ids))
-	if e.sweepWorkers > 1 && len(ids) >= sweepParallelMin {
-		e.parallelRanges(len(ids), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				tens[i] = e.tension(ids[i])
-			}
-		})
-	} else {
-		for i, id := range ids {
-			tens[i] = e.tension(id)
-		}
-	}
 	*checks += int64(len(ids))
 
 	next := queue[:0]
-	for i, id := range ids {
-		if tens[i] > minGain {
-			next = append(next, pairTension{id: id, tension: tens[i]})
+	for _, id := range ids {
+		if t := e.tension(id); t > minGain {
+			next = append(next, pairTension{id: id, tension: t})
 		}
 	}
-	e.finalizeQueue(next)
+	sortQueue(next)
 	return next
-}
-
-// finalizeQueue orders a freshly built queue for the next iteration. Only
-// the FullSort oracle needs the historical full sort: the sweep consumes
-// exactly the top ⌈λ·|Q|⌉ entries in order and nextQueue treats the rest
-// of the queue as an unordered set, so deterministically selecting and
-// sorting that prefix alone (selectTop) leaves the executed swap sequence
-// provably unchanged — see DESIGN.md.
-func (e *fdEngine) finalizeQueue(q []pairTension) {
-	if e.fullSort {
-		sortQueue(q)
-		return
-	}
-	selectTop(q, swapLimit(e.lambda, len(q)))
 }

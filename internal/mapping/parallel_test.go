@@ -13,9 +13,8 @@ import (
 )
 
 // TestFinetuneWorkersBitIdentical verifies the FDConfig.Workers contract on
-// an instance large enough to cross every default parallel threshold (build
-// phases at ≥4096 cores, sweep phases at sweepParallelMin candidates)
-// without any test-only tuning, including against the FullSort oracle.
+// an instance large enough to split every build phase into several chunks
+// (≥4096 cores and clusters), against the sequential Workers=1 oracle.
 func TestFinetuneWorkersBitIdentical(t *testing.T) {
 	p := randomPCN(t, 99, 4500, 30000)
 	mesh := hw.MustMesh(68, 68)
@@ -33,8 +32,8 @@ func TestFinetuneWorkersBitIdentical(t *testing.T) {
 		stats.Elapsed = 0
 		return pl.PosOf, stats
 	}
-	oraclePos, oracleStats := run(FDConfig{Workers: 1, FullSort: true})
-	for _, workers := range []int{1, 4, 8} {
+	oraclePos, oracleStats := run(FDConfig{Workers: 1})
+	for _, workers := range []int{2, 4, 8} {
 		pos, stats := run(FDConfig{Workers: workers})
 		if stats != oracleStats {
 			t.Errorf("workers=%d: stats %+v, oracle %+v", workers, stats, oracleStats)
@@ -48,7 +47,7 @@ func TestFinetuneWorkersBitIdentical(t *testing.T) {
 // errCountCtx cancels after a fixed number of Err calls. FinetuneContext
 // consults ctx.Err at deterministic points only (function entry, each
 // iteration head, every 8192 batch entries) and never from the parallel
-// sweep paths, so the cancellation point — and therefore the partial result
+// build phases, so the cancellation point — and therefore the partial result
 // — is reproducible at any worker count.
 type errCountCtx struct {
 	context.Context
@@ -66,7 +65,7 @@ func (c *errCountCtx) Err() error {
 // fdScenario is one cell of the determinism matrix.
 type fdScenario struct {
 	name string
-	cfg  FDConfig // Potential/Workers/FullSort filled in by the test
+	cfg  FDConfig // Potential/Workers filled in by the test
 	ctx  func() context.Context
 	// wantCanceled is set for the mid-run cancel scenario.
 	wantCanceled bool
@@ -75,14 +74,8 @@ type fdScenario struct {
 // TestFDParallelEquivalenceMatrix is the determinism suite: for every
 // scenario × potential, the placement must be byte-identical and FDStats
 // equal (modulo Elapsed) across Workers ∈ {1, 2, 4, 7} and against the
-// FullSort sequential oracle. sweepParallelMin is lowered so the
-// speculative batch evaluation and the parallel nextQueue recomputation
-// genuinely execute on these mesh sizes; run under -race this doubles as
-// the data-race check for the sweep fan-out.
+// sequential Workers=1 oracle.
 func TestFDParallelEquivalenceMatrix(t *testing.T) {
-	defer func(old int) { sweepParallelMin = old }(sweepParallelMin)
-	sweepParallelMin = 8
-
 	mesh := hw.MustMesh(22, 22)
 	p := randomPCN(t, 41, 440, 3200)
 
@@ -115,7 +108,7 @@ func TestFDParallelEquivalenceMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				run := func(workers int, fullSort bool) ([]int32, FDStats) {
+				run := func(workers int) ([]int32, FDStats) {
 					pl, err := place.Random(p.NumClusters, mesh, rand.New(rand.NewSource(17)))
 					if err != nil {
 						t.Fatal(err)
@@ -123,7 +116,6 @@ func TestFDParallelEquivalenceMatrix(t *testing.T) {
 					cfg := sc.cfg
 					cfg.Potential = pot
 					cfg.Workers = workers
-					cfg.FullSort = fullSort
 					stats, err := FinetuneContext(sc.ctx(), p, pl, cfg)
 					if sc.wantCanceled {
 						if !errors.Is(err, ErrCanceled) {
@@ -135,12 +127,12 @@ func TestFDParallelEquivalenceMatrix(t *testing.T) {
 					stats.Elapsed = 0
 					return pl.PosOf, stats
 				}
-				oraclePos, oracleStats := run(1, true)
+				oraclePos, oracleStats := run(1)
 				if sc.name == "pristine" && !oracleStats.Converged {
 					t.Fatalf("%s: pristine oracle did not converge", potName)
 				}
 				for _, workers := range []int{1, 2, 4, 7} {
-					pos, stats := run(workers, false)
+					pos, stats := run(workers)
 					if stats != oracleStats {
 						t.Errorf("%s workers=%d: stats %+v, oracle %+v", potName, workers, stats, oracleStats)
 					}
@@ -155,15 +147,12 @@ func TestFDParallelEquivalenceMatrix(t *testing.T) {
 
 // TestFDParallelMidBatchCancel drives the in-batch cancellation check
 // (every 8192 entries) with a λ=1 sweep over a queue larger than 8192, so
-// the break path inside applyBatch executes both with and without
-// speculation and still yields identical partial results.
+// the break path inside applyBatch executes and yields identical partial
+// results at every worker count.
 func TestFDParallelMidBatchCancel(t *testing.T) {
-	defer func(old int) { sweepParallelMin = old }(sweepParallelMin)
-	sweepParallelMin = 8
-
 	p := randomPCN(t, 7, 8000, 48000)
 	mesh := hw.MustMesh(90, 90)
-	run := func(workers int, fullSort bool) ([]int32, FDStats) {
+	run := func(workers int) ([]int32, FDStats) {
 		pl, err := place.Random(p.NumClusters, mesh, rand.New(rand.NewSource(3)))
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +162,6 @@ func TestFDParallelMidBatchCancel(t *testing.T) {
 			Potential: L2Sq{},
 			Lambda:    1,
 			Workers:   workers,
-			FullSort:  fullSort,
 		})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("got %v, want ErrCanceled", err)
@@ -181,12 +169,12 @@ func TestFDParallelMidBatchCancel(t *testing.T) {
 		stats.Elapsed = 0
 		return pl.PosOf, stats
 	}
-	oraclePos, oracleStats := run(1, true)
+	oraclePos, oracleStats := run(1)
 	if oracleStats.TensionChecks < 8192 {
 		t.Fatalf("batch too small (%d checks) to cross the in-batch cancel point", oracleStats.TensionChecks)
 	}
-	for _, workers := range []int{1, 4} {
-		pos, stats := run(workers, false)
+	for _, workers := range []int{2, 4} {
+		pos, stats := run(workers)
 		if stats != oracleStats {
 			t.Errorf("workers=%d: stats %+v, oracle %+v", workers, stats, oracleStats)
 		}
@@ -197,8 +185,8 @@ func TestFDParallelMidBatchCancel(t *testing.T) {
 }
 
 // BenchmarkFinetune tracks sweep throughput and steady-state allocations
-// (the nextQueue candidate and tension buffers are hoisted onto the
-// engine, so per-iteration allocation stays flat).
+// (the nextQueue candidate buffer is hoisted onto the engine, so
+// per-iteration allocation stays flat).
 func BenchmarkFinetune(b *testing.B) {
 	p := randomPCN(b, 21, 4000, 24000)
 	mesh := hw.MustMesh(64, 64)
@@ -210,7 +198,6 @@ func BenchmarkFinetune(b *testing.B) {
 		name string
 		cfg  FDConfig
 	}{
-		{"fullsort", FDConfig{Workers: 1, FullSort: true}},
 		{"workers=1", FDConfig{Workers: 1}},
 		{"workers=4", FDConfig{Workers: 4}},
 	} {

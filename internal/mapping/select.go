@@ -3,15 +3,14 @@ package mapping
 import (
 	"cmp"
 	"math"
-	"math/bits"
 	"slices"
 )
 
 // queueCmp is the total order of the tension queue: decreasing tension,
 // ties broken by increasing pair id. Pair ids are unique within one queue
 // (initialQueue enumerates each pair once, nextQueue dedupes through
-// pairMark), so no two entries ever compare equal — selectTop relies on
-// that strictness.
+// pairMark), so no two entries ever compare equal and the sorted queue is a
+// function of its contents alone, whatever order they arrived in.
 func queueCmp(a, b pairTension) int {
 	if a.tension != b.tension {
 		if a.tension > b.tension {
@@ -30,7 +29,8 @@ func sortQueue(q []pairTension) {
 // swapLimit is ⌈λ·n⌉ clamped to [1, n] for n > 0: the number of queue
 // entries one sweep iteration consumes, and therefore the only prefix whose
 // order Algorithm 3 ever observes (nextQueue treats the rest of the queue
-// as an unordered set).
+// as an unordered set — which is why a snapshot whose tail is unsorted
+// resumes bit-identically).
 func swapLimit(lambda float64, n int) int {
 	if n <= 0 {
 		return 0
@@ -43,58 +43,4 @@ func swapLimit(lambda float64, n int) int {
 		limit = n
 	}
 	return limit
-}
-
-// selectTop rearranges q so that q[:m] holds the m first entries under
-// queueCmp (the highest-tension pairs) in fully sorted order; the order of
-// the tail q[m:] is unspecified. Because queueCmp is a strict total order,
-// the resulting prefix is a deterministic function of q's contents — pivot
-// choices and the input permutation affect only the tail (see DESIGN.md for
-// why that makes the FD sweep bit-identical to a full sort).
-func selectTop(q []pairTension, m int) {
-	if m <= 0 {
-		return
-	}
-	if m >= len(q) {
-		sortQueue(q)
-		return
-	}
-	// Iterative quickselect (median-of-three Lomuto) narrowing the window
-	// [lo, hi) that contains the m-th boundary; the depth bound keeps
-	// adversarial inputs O(n log n) by falling back to sorting the window.
-	lo, hi := 0, len(q)
-	for depth := 2 * bits.Len(uint(len(q))); hi-lo > 12 && depth > 0; depth-- {
-		mid := lo + (hi-lo)/2
-		// Order q[lo] ≤ q[mid] ≤ q[hi-1], then park the median at hi-2.
-		if queueCmp(q[mid], q[lo]) < 0 {
-			q[mid], q[lo] = q[lo], q[mid]
-		}
-		if queueCmp(q[hi-1], q[lo]) < 0 {
-			q[hi-1], q[lo] = q[lo], q[hi-1]
-		}
-		if queueCmp(q[hi-1], q[mid]) < 0 {
-			q[hi-1], q[mid] = q[mid], q[hi-1]
-		}
-		q[mid], q[hi-2] = q[hi-2], q[mid]
-		pivot := q[hi-2]
-		store := lo
-		for i := lo; i < hi-2; i++ {
-			if queueCmp(q[i], pivot) < 0 {
-				q[i], q[store] = q[store], q[i]
-				store++
-			}
-		}
-		q[store], q[hi-2] = q[hi-2], q[store]
-		// q[lo:store] precede the pivot (now at store), q[store+1:hi)
-		// follow it.
-		if m <= store {
-			hi = store
-		} else {
-			lo = store + 1
-		}
-	}
-	// The boundary window is small (or the depth bound fired): resolve it
-	// exactly, then order the now-complete top-m prefix.
-	sortQueue(q[lo:hi])
-	sortQueue(q[:m])
 }

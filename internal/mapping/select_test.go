@@ -2,82 +2,8 @@ package mapping
 
 import (
 	"math"
-	"math/rand"
-	"slices"
 	"testing"
 )
-
-// randomQueue builds a queue of n entries with unique ids and deliberately
-// colliding tension values (small integer range), so the id tie-break is
-// exercised heavily.
-func randomQueue(rng *rand.Rand, n int) []pairTension {
-	ids := rng.Perm(4 * n)
-	q := make([]pairTension, n)
-	for i := range q {
-		q[i] = pairTension{id: int32(ids[i]), tension: float64(rng.Intn(7))}
-	}
-	return q
-}
-
-// TestSelectTopMatchesSort is the property pinning the partial selection:
-// for any queue and any m, selectTop's prefix must equal the prefix of a
-// full sort, entry for entry.
-func TestSelectTopMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(400)
-		q := randomQueue(rng, n)
-		want := slices.Clone(q)
-		sortQueue(want)
-		m := 0
-		if n > 0 {
-			m = rng.Intn(n + 2) // occasionally m == n or m > n
-		}
-		got := slices.Clone(q)
-		selectTop(got, m)
-		bound := min(m, n)
-		if !slices.Equal(got[:bound], want[:bound]) {
-			t.Fatalf("trial %d (n=%d m=%d): selected prefix differs from sorted prefix", trial, n, m)
-		}
-		// The tail's order is unspecified, but its contents must be the
-		// complement of the prefix.
-		tail := slices.Clone(got[bound:])
-		sortQueue(tail)
-		if !slices.Equal(tail, want[bound:]) {
-			t.Fatalf("trial %d (n=%d m=%d): tail contents differ from sorted complement", trial, n, m)
-		}
-	}
-}
-
-// TestSelectTopAdversarial drives the depth-bound fallback with patterns
-// quickselect pivots handle worst: sorted, reverse-sorted, and
-// all-equal-tension inputs at sizes around the insertion cutoff.
-func TestSelectTopAdversarial(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 12, 13, 64, 257, 1024} {
-		for _, build := range []func(i int) pairTension{
-			func(i int) pairTension { return pairTension{id: int32(i), tension: float64(i)} },
-			func(i int) pairTension { return pairTension{id: int32(i), tension: float64(-i)} },
-			func(i int) pairTension { return pairTension{id: int32(i), tension: 1} },
-		} {
-			q := make([]pairTension, n)
-			for i := range q {
-				q[i] = build(i)
-			}
-			want := slices.Clone(q)
-			sortQueue(want)
-			for _, m := range []int{0, 1, n / 3, n - 1, n} {
-				if m < 0 || m > n {
-					continue
-				}
-				got := slices.Clone(q)
-				selectTop(got, m)
-				if !slices.Equal(got[:m], want[:m]) {
-					t.Fatalf("n=%d m=%d: prefix differs", n, m)
-				}
-			}
-		}
-	}
-}
 
 // TestSwapLimitMatchesLoopFormula pins swapLimit to the historical in-loop
 // computation ⌈λ·n⌉ clamped below by 1, for every λ the config accepts.

@@ -7,6 +7,7 @@ import (
 
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
+	"snnmap/internal/par"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 	"snnmap/internal/snn"
@@ -104,9 +105,9 @@ func TestSampledRescaleStrideConsistency(t *testing.T) {
 
 	// Independent reconstruction, chunked exactly like Evaluate's walk so
 	// the float grouping matches: the test pins the *enumeration*, the
-	// chunking is shared via chunksOf.
+	// chunking is shared via par.Chunks.
 	n := p.NumClusters
-	k := chunksOf(n)
+	k := par.Chunks(n, evalChunks)
 	var total, sampled float64
 	for ci := 0; ci < k; ci++ {
 		var pt, ps float64

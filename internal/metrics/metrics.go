@@ -12,9 +12,15 @@ import (
 	"snnmap/internal/geom"
 	"snnmap/internal/hw"
 	"snnmap/internal/obs"
+	"snnmap/internal/par"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
+
+// evalChunks caps the chunk count of the parallel edge walks. It must not
+// depend on the worker count: chunk boundaries and the chunk-order reduction
+// are what make results bit-identical as Workers varies.
+const evalChunks = 64
 
 // Summary holds the evaluated metrics for one placement.
 type Summary struct {
@@ -162,7 +168,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 		(opts.Congestion == CongestionSampled || opts.Congestion == CongestionAuto)
 
 	n := p.NumClusters
-	k := chunksOf(n)
+	k := par.Chunks(n, evalChunks)
 	partials := make([]evalPartial, k)
 	// Per-chunk busy durations, indexed by chunk so the sum below runs in
 	// chunk order regardless of which worker timed which chunk. Only
@@ -171,7 +177,7 @@ func Evaluate(p *pcn.PCN, pl *place.Placement, cost hw.CostModel, opts Options) 
 	if opts.Obs.Enabled() {
 		busy = make([]time.Duration, k)
 	}
-	runChunks(opts.Workers, k, func(ci int) {
+	par.Do(opts.Workers, k, func(ci int) {
 		if busy != nil {
 			t0 := time.Now()
 			defer func() { busy[ci] = time.Since(t0) }()
@@ -306,7 +312,7 @@ func congestionGrid(p *pcn.PCN, pl *place.Placement, stride, workers, memoLimit 
 	n := p.NumClusters
 	// Cap the chunk count so the transient per-chunk grids stay bounded
 	// (~64 MB of scratch on a million-core mesh).
-	k := chunksOf(n)
+	k := par.Chunks(n, evalChunks)
 	if maxGrids := 1 << 23 / max(cores, 1); k > maxGrids {
 		k = max(maxGrids, 1)
 	}
@@ -350,7 +356,7 @@ func congestionGrid(p *pcn.PCN, pl *place.Placement, stride, workers, memoLimit 
 	for ci := range grids {
 		grids[ci] = backing[ci*cores : (ci+1)*cores]
 	}
-	runChunks(workers, k, func(ci int) { accumulate(ci, grids[ci]) })
+	par.Do(workers, k, func(ci int) { accumulate(ci, grids[ci]) })
 	for ci := 0; ci < k; ci++ {
 		for i, v := range grids[ci] {
 			grid[i] += v

@@ -131,9 +131,10 @@ type Config struct {
 	// Shards partitions the mesh into this many contiguous row strips,
 	// each simulated by its own goroutine with cycle-synchronized
 	// boundary exchange; Results are bit-identical to SimulateReference
-	// at every shard count. 0 or 1 runs the single-goroutine event
-	// engine. Shards must not exceed the mesh's row count (one row strip
-	// per shard at minimum); see ClampShards for a caller-side clamp.
+	// at every shard count. 0 or 1 runs the one whole-mesh strip inline,
+	// with no goroutines. Shards must not exceed the mesh's row count (one
+	// row strip per shard at minimum); see ClampShards for a caller-side
+	// clamp.
 	// With bounded queues (QueueCap > 0) credit decisions form a
 	// sequential dependency chain across strips, so the service-apply
 	// phase runs on the coordinator while injection and the
@@ -626,10 +627,9 @@ func Simulate(p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 // checks ctx periodically and returns the partial Result with an error
 // wrapping ErrCanceled when the context is done.
 //
-// With cfg.Shards >= 2 the mesh is partitioned into row strips simulated by
-// one goroutine each (see shard.go); otherwise the event-driven engine runs
-// on a single whole-mesh strip. Either way the Result is bit-identical to
-// SimulateReference.
+// The mesh is partitioned into cfg.Shards row strips driven by one
+// coordinator (see shard.go); a single strip runs inline on the caller's
+// goroutine. Either way the Result is bit-identical to SimulateReference.
 func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -644,7 +644,7 @@ func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg C
 	sp := s.cfg.Obs.Span("noc.sim",
 		obs.KV{K: "spikes", V: float64(s.res.Injected)},
 		obs.KV{K: "shards", V: float64(s.cfg.Shards)})
-	res, err := simulateEvent(ctx, s)
+	res, err := simulateSharded(ctx, s)
 	if err != nil {
 		sp.End()
 		return res, err
@@ -654,85 +654,6 @@ func SimulateContext(ctx context.Context, p *pcn.PCN, pl *place.Placement, cfg C
 		obs.KV{K: "delivered", V: float64(res.Delivered)},
 		obs.KV{K: "dropped", V: float64(res.Dropped)})
 	return res, nil
-}
-
-// simulateEvent runs the event-driven engine: the single-goroutine
-// whole-mesh strip, or the sharded coordinator when Shards >= 2.
-func simulateEvent(ctx context.Context, s *simState) (Result, error) {
-	if s.cfg.Shards >= 2 {
-		return simulateSharded(ctx, s)
-	}
-	cfg := s.cfg
-
-	// Single-goroutine event engine: one strip spanning the whole mesh,
-	// driven inline with no barriers. The strip primitives (inject,
-	// collect, apply, retire) are shared with the sharded engine, which
-	// is what keeps the two bit-identical.
-	st := newStrip(s, 0, s.cores)
-	st.trains, s.trains = s.trains, nil
-
-	// Progress watchdog state: progress means an injection, delivery or
-	// drop — wire movement alone does not count, so a spike orbiting an
-	// unreachable destination forever is detected, not just a full stop.
-	lastProgress := int64(-1)
-	lastProgressCycle := 0
-	// ffSkipped counts idle cycles jumped by fast-forward (telemetry only;
-	// never part of Result — the reference oracle has no fast-forward).
-	var ffSkipped int64
-
-	for cycle := 0; ; cycle++ {
-		inFlight := st.acc.injections - st.acc.exited
-		if cycle > cfg.MaxCycles {
-			return s.mergeStrips(st), fmt.Errorf("noc: exceeded MaxCycles=%d with %d spikes in flight: %w", cfg.MaxCycles, inFlight, ErrLivelock)
-		}
-		if cycle&2047 == 0 && ctx.Err() != nil {
-			return s.mergeStrips(st), fmt.Errorf("noc: %v after %d cycles: %w", ctx.Err(), cycle, ErrCanceled)
-		}
-		delivered, dropped := st.acc.delivered, s.res.Dropped+st.acc.dropped
-		if progress := st.acc.injections + delivered + dropped; progress != lastProgress {
-			lastProgress = progress
-			lastProgressCycle = cycle
-		} else if cycle-lastProgressCycle > cfg.WatchdogCycles {
-			return s.mergeStrips(st), fmt.Errorf("noc: no forward progress for %d cycles with %d spikes in flight (delivered %d, dropped %d): %w",
-				cfg.WatchdogCycles, inFlight, delivered, dropped, ErrLivelock)
-		}
-		if cfg.Obs.Enabled() && cycle&4095 == 0 {
-			cfg.Obs.Progress("noc.sim", delivered+dropped, s.res.Injected)
-		}
-		if len(st.trains) > 0 && cycle%cfg.InjectionInterval == 0 {
-			st.inject(cycle)
-		}
-		if inFlight = st.acc.injections - st.acc.exited; inFlight == 0 && len(st.trains) == 0 {
-			s.res.Cycles = cycle
-			break
-		}
-		if inFlight == 0 {
-			// Every queue is empty but trains remain: nothing can happen
-			// until the next injection wave, so fast-forward to it. The
-			// jump is capped at MaxCycles+1 so a wave scheduled past the
-			// cycle limit still fails exactly where the reference fails.
-			next := (cycle/cfg.InjectionInterval + 1) * cfg.InjectionInterval
-			if next > cfg.MaxCycles+1 {
-				next = cfg.MaxCycles + 1
-			}
-			if next-1 > cycle {
-				ffSkipped += int64(next - 1 - cycle)
-				cycle = next - 1
-			}
-			continue
-		}
-		st.collect(cycle, false)
-		st.apply(cycle, nil, nil)
-		st.retire()
-	}
-
-	s.mergeStrips(st)
-	if cfg.Obs.Enabled() {
-		cfg.Obs.Counter("noc.fastforward", obs.KV{K: "skipped_cycles", V: float64(ffSkipped)})
-		emitShardCounters(cfg.Obs, st)
-		cfg.Obs.Progress("noc.sim", s.res.Delivered+s.res.Dropped, s.res.Injected)
-	}
-	return s.finish(), nil
 }
 
 // emitShardCounters publishes one "noc.shard" counter sample per strip, in

@@ -87,8 +87,8 @@ type ship struct {
 }
 
 // strip owns the routers in [lo, hi): their queues, their injection
-// trains, and their active-router worklist. The single-goroutine event
-// engine is a strip spanning the whole mesh.
+// trains, and their active-router worklist. With one shard a single strip
+// spans the whole mesh.
 type strip struct {
 	s        *simState
 	lo, hi   int     // owned router range [lo, hi)
@@ -398,10 +398,11 @@ type phaseCmd struct {
 	inject bool
 }
 
-// simulateSharded is the coordinator for Shards >= 2: it owns the cycle
-// loop (limits, watchdog, cancellation, termination and idle fast-forward,
-// all computed from merged per-strip tallies) and drives the worker
-// goroutines through the two phases of each cycle.
+// simulateSharded is the event-driven engine's one driver: it owns the
+// cycle loop (limits, watchdog, cancellation, termination and idle
+// fast-forward, all computed from merged per-strip tallies) and runs the
+// strips through the two phases of each cycle — on one worker goroutine per
+// strip for Shards >= 2, inline on the caller's goroutine for one strip.
 func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 	cfg := s.cfg
 	shards := cfg.Shards
@@ -433,47 +434,55 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 	// With bounded queues, stall decisions depend on destination-queue
 	// occupancy at the candidate's exact global position, and stall chains
 	// can cross strip boundaries in both directions — the coordinator
-	// applies those sequentially instead.
-	parallelApply := cfg.QueueCap == 0
+	// applies those sequentially instead. A single strip has no boundary,
+	// so it always applies its own candidates.
+	parallelApply := cfg.QueueCap == 0 || shards == 1
 
-	var wg sync.WaitGroup
-	cmds := make([]chan phaseCmd, shards)
-	for i := range cmds {
-		cmds[i] = make(chan phaseCmd, 1)
-		go func(i int, st *strip) {
-			for cmd := range cmds[i] {
-				switch cmd.phase {
-				case phaseCollect:
-					if cmd.inject {
-						st.inject(cmd.cycle)
-					}
-					st.collect(cmd.cycle, parallelApply)
-				case phaseApply:
-					var above, below []ship
-					if i > 0 {
-						above = strips[i-1].shipDown
-					}
-					if i < len(strips)-1 {
-						below = strips[i+1].shipUp
-					}
-					st.apply(cmd.cycle, above, below)
-					st.retire()
-				}
-				wg.Done()
+	work := func(i int, cmd phaseCmd) {
+		st := strips[i]
+		switch cmd.phase {
+		case phaseCollect:
+			if cmd.inject {
+				st.inject(cmd.cycle)
 			}
-		}(i, strips[i])
+			st.collect(cmd.cycle, parallelApply)
+		case phaseApply:
+			var above, below []ship
+			if i > 0 {
+				above = strips[i-1].shipDown
+			}
+			if i < len(strips)-1 {
+				below = strips[i+1].shipUp
+			}
+			st.apply(cmd.cycle, above, below)
+			st.retire()
+		}
 	}
-	defer func() {
-		for _, c := range cmds {
-			close(c)
+	runPhase := func(cmd phaseCmd) { work(0, cmd) }
+	if shards > 1 {
+		var wg sync.WaitGroup
+		cmds := make([]chan phaseCmd, shards)
+		for i := range cmds {
+			cmds[i] = make(chan phaseCmd, 1)
+			go func() {
+				for cmd := range cmds[i] {
+					work(i, cmd)
+					wg.Done()
+				}
+			}()
 		}
-	}()
-	runPhase := func(cmd phaseCmd) {
-		wg.Add(shards)
-		for _, c := range cmds {
-			c <- cmd
+		defer func() {
+			for _, c := range cmds {
+				close(c)
+			}
+		}()
+		runPhase = func(cmd phaseCmd) {
+			wg.Add(shards)
+			for _, c := range cmds {
+				c <- cmd
+			}
+			wg.Wait()
 		}
-		wg.Wait()
 	}
 	pendingTrains := func() int {
 		n := 0
@@ -483,6 +492,9 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 		return n
 	}
 
+	// Progress watchdog state: progress means an injection, delivery or
+	// drop — wire movement alone does not count, so a spike orbiting an
+	// unreachable destination forever is detected, not just a full stop.
 	lastProgress := int64(-1)
 	lastProgressCycle := 0
 	// ffSkipped counts idle cycles jumped by fast-forward (telemetry only;

@@ -1,5 +1,7 @@
 package pcn
 
+import "snnmap/internal/par"
+
 // Contraction of a matched graph level — the second half of the coarsening
 // step. Coarse vertex indices are assigned by scanning fine vertices in
 // order (the pair representative is its smaller member), so the coarse
@@ -93,7 +95,7 @@ func contract(lv *gLevel, match []int32, workers int, ar *levelArena) (*gLevel, 
 	cnt := grabI32(&ar.cnt, nc)
 	selfW := grabF64(&ar.selfW, nc)
 
-	runMatchChunks(workers, nc, func(_, lo, hi int) {
+	par.Ranges(workers, nc, par.Chunks(nc, matchChunks), func(_, lo, hi int) {
 		for c := lo; c < hi; c++ {
 			base := bound[c]
 			write := base

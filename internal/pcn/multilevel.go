@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"snnmap/internal/obs"
+	"snnmap/internal/par"
 	"snnmap/internal/snn"
 )
 
@@ -251,7 +252,7 @@ func undirectedFromAssignment(g *snn.Graph, clusterOf []int32, n, workers int) *
 		}
 	}
 	count := make([]int64, n)
-	runMatchChunks(workers, n, func(_, lo, hi int) {
+	par.Ranges(workers, n, par.Chunks(n, matchChunks), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s, e := deg[i], deg[i+1]
 			sortEdges(to[s:e], w[s:e])

@@ -8,6 +8,9 @@ package pcn
 
 import (
 	"fmt"
+	"sync"
+
+	"snnmap/internal/par"
 )
 
 // PCN is a partitioned cluster network in CSR form. Cluster indices follow
@@ -36,7 +39,7 @@ type PCN struct {
 	// and is excluded from E_P.
 	InternalTraffic float64
 
-	undir *Undirected // lazily built, see Undirected()
+	undir *Undirected // lazily built under undirMu, see Undirected()
 }
 
 // NumEdges returns |E_P| (directed, merged).
@@ -167,8 +170,15 @@ func (u *Undirected) Neighbors(i int) ([]int32, []float64) {
 // Degree returns the number of distinct neighbors of cluster i.
 func (u *Undirected) Degree(i int) int { return int(u.Off[i+1] - u.Off[i]) }
 
-// Undirected returns (building on first use) the symmetrized adjacency.
+// undirMu guards every PCN's lazily built undir: concurrent pipelines may
+// share one PCN, and each calls Undirected once per FD run.
+var undirMu sync.Mutex
+
+// Undirected returns (building on first use) the symmetrized adjacency. It
+// is safe for concurrent use.
 func (p *PCN) Undirected() *Undirected {
+	undirMu.Lock()
+	defer undirMu.Unlock()
 	if p.undir != nil {
 		return p.undir
 	}
@@ -315,7 +325,7 @@ func buildCSR(p *PCN, from, to []int32, w []float64) {
 // avoiding buildCSR's edge-list and double-buffer copies.
 func finalizeCSR(p *PCN, counts []int64, to []int32, w []float64, workers int) {
 	n := p.NumClusters
-	runMatchChunks(workers, n, func(_, lo, hi int) {
+	par.Ranges(workers, n, par.Chunks(n, matchChunks), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sortEdges(to[counts[i]:counts[i+1]], w[counts[i]:counts[i+1]])
 		}
