@@ -296,7 +296,12 @@ func (q *queue) peek() flit  { return q.items[q.head] }
 func (q *queue) pop() flit {
 	f := q.items[q.head]
 	q.head++
-	if q.head > 1024 && q.head*2 >= len(q.items) {
+	switch {
+	case q.head == len(q.items):
+		// Drained: rewind so steady traffic reuses the backing array
+		// instead of appending past a dead prefix and reallocating.
+		q.items, q.head = q.items[:0], 0
+	case q.head > 1024 && q.head*2 >= len(q.items):
 		n := copy(q.items, q.items[q.head:])
 		q.items = q.items[:n]
 		q.head = 0

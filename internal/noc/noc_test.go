@@ -247,3 +247,38 @@ func TestSimMatchesAnalyticEnergyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQueueRewindsWhenDrained checks that a queue which empties rewinds onto
+// its backing array: steady push/pop traffic neither grows the array nor
+// allocates, and FIFO order survives the rewind.
+func TestQueueRewindsWhenDrained(t *testing.T) {
+	var q queue
+	for i := 0; i < 8; i++ {
+		q.push(flit{dst: int32(i)})
+	}
+	for i := 0; i < 8; i++ {
+		if got := q.pop().dst; got != int32(i) {
+			t.Fatalf("pop %d returned dst %d", i, got)
+		}
+	}
+	if q.len() != 0 || q.head != 0 || len(q.items) != 0 {
+		t.Fatalf("drained queue not rewound: head=%d len(items)=%d", q.head, len(q.items))
+	}
+	cycle := func() {
+		q.push(flit{dst: 1})
+		q.push(flit{dst: 2})
+		if q.pop().dst != 1 || q.pop().dst != 2 {
+			t.Fatal("FIFO order broken across a rewind")
+		}
+	}
+	capacity := cap(q.items)
+	for i := 0; i < 5000; i++ {
+		cycle()
+	}
+	if cap(q.items) != capacity {
+		t.Fatalf("steady traffic grew the backing array from %d to %d flits", capacity, cap(q.items))
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("push/pop cycle on a drained queue allocates %v times, want 0", allocs)
+	}
+}
