@@ -24,8 +24,7 @@
 // fully idle stretches between injection waves are fast-forwarded.
 // SimulateReference runs the original per-cycle scan of every router; it is
 // kept as the equivalence oracle — both drivers produce bit-identical
-// Results — and as the baseline the tracked benchmarks measure speedups
-// against.
+// Results — and is never a production path.
 package noc
 
 import (
@@ -128,11 +127,12 @@ type Config struct {
 	// flight, the run fails with ErrLivelock. Zero means 1_000_000; it is
 	// clamped to at least twice the injection interval.
 	WatchdogCycles int
-	// Shards partitions the mesh into this many contiguous row strips,
-	// each simulated by its own goroutine with cycle-synchronized
-	// boundary exchange; Results are bit-identical to SimulateReference
-	// at every shard count. 0 or 1 runs the one whole-mesh strip inline,
-	// with no goroutines. Shards must not exceed the mesh's row count (one
+	// Shards partitions the mesh into this many contiguous row strips:
+	// the caller's goroutine runs strip 0 and one worker goroutine runs
+	// each other strip, with an atomic cycle gate between the phases of
+	// every cycle; Results are bit-identical to SimulateReference at every
+	// shard count. 0 or 1 runs the one whole-mesh strip inline, with no
+	// goroutines. Shards must not exceed the mesh's row count (one
 	// row strip per shard at minimum); see ClampShards for a caller-side
 	// clamp.
 	// With bounded queues (QueueCap > 0) credit decisions form a

@@ -3,17 +3,20 @@ package noc
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math/bits"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"snnmap/internal/obs"
 )
 
-// This file implements sharded simulation: the mesh is partitioned into
-// contiguous row strips, each owned by one goroutine running the
-// event-driven engine over its strip, with a conservative barrier between
-// the two phases of every cycle (Booksim-style parallel discrete-event
-// simulation specialized to a deterministic-cycle mesh).
+// This file implements the event-driven engine's one driver. The mesh is
+// partitioned into contiguous row strips; the coordinator runs strip 0 on
+// the caller's goroutine and every other strip on a worker goroutine, with
+// a cycle gate (an atomic generation counter plus an atomic done count)
+// separating the two phases of every cycle — Booksim-style parallel
+// discrete-event simulation specialized to a deterministic-cycle mesh.
 //
 // Row strips make ownership trivial under row-major indexing: strip k owns
 // the contiguous router range [lo, hi), so the concatenation of per-strip
@@ -43,9 +46,9 @@ import (
 // pre-decided: whether a flit moves or stalls depends on the destination
 // queue's occupancy at its exact global position, and stall chains can
 // zigzag across strip boundaries. For that configuration the coordinator
-// runs the service-apply phase itself between barriers (injection and the
-// collect/deliver scan still fan out), trading apply-phase parallelism for
-// the bit-identity contract.
+// runs the service-apply phase itself while the workers wait at the gate
+// (injection and the collect/deliver scan still fan out), trading
+// apply-phase parallelism for the bit-identity contract.
 
 // accum collects one strip's share of the running tallies. All fields are
 // either sums or maxes, so merging per-strip accumulators in any order
@@ -87,14 +90,13 @@ type ship struct {
 }
 
 // strip owns the routers in [lo, hi): their queues, their injection
-// trains, and their active-router worklist. With one shard a single strip
-// spans the whole mesh.
+// trains, and their occupancy bitset. With one shard a single strip spans
+// the whole mesh.
 type strip struct {
 	s        *simState
-	lo, hi   int     // owned router range [lo, hi)
-	trains   []train // injection trains with src in [lo, hi), original order
-	inActive []bool  // indexed by router-lo
-	active   []int32 // global router indices, sorted at collect
+	lo, hi   int      // owned router range [lo, hi)
+	trains   []train  // injection trains with src in [lo, hi), original order
+	occ      []uint64 // bit router-lo set: the router may hold flits
 	cands    []stripCand
 	shipUp   []ship // pushes into the strip above (smaller router indices)
 	shipDown []ship // pushes into the strip below
@@ -102,24 +104,13 @@ type strip struct {
 }
 
 func newStrip(s *simState, lo, hi int) *strip {
-	return &strip{s: s, lo: lo, hi: hi, inActive: make([]bool, hi-lo)}
+	return &strip{s: s, lo: lo, hi: hi, occ: make([]uint64, (hi-lo+63)/64)}
 }
 
+// markActive records that router idx (owned by this strip) may hold flits.
 func (st *strip) markActive(idx int) {
-	if !st.inActive[idx-st.lo] {
-		st.inActive[idx-st.lo] = true
-		st.active = append(st.active, int32(idx))
-	}
-}
-
-func (st *strip) hasFlits(idx int) bool {
-	base := idx * 5
-	for port := 0; port < 5; port++ {
-		if st.s.queues[base+port].len() > 0 {
-			return true
-		}
-	}
-	return false
+	i := idx - st.lo
+	st.occ[i>>6] |= 1 << (i & 63)
 }
 
 // inject runs one injection wave over this strip's trains: due spikes enter
@@ -182,9 +173,11 @@ func (st *strip) deliver(q *queue, cycle int) {
 	}
 }
 
-// collect scans this strip's active routers in ascending order, delivering
-// one flit per local queue and gathering one candidate per occupied output
-// port — the strip's slice of the reference's global service order.
+// collect walks this strip's occupancy bitset in ascending router order,
+// delivering one flit per local queue and gathering one candidate per
+// occupied output port — the strip's slice of the reference's global
+// service order. A router whose five queues are all empty has its bit
+// cleared; every push sets its router's bit again.
 //
 // With preDecide set (sharded, unbounded queues), candidates whose
 // destination lies outside [lo, hi) are resolved immediately: the move or
@@ -195,59 +188,76 @@ func (st *strip) deliver(q *queue, cycle int) {
 // the candidate's position.
 func (st *strip) collect(cycle int, preDecide bool) {
 	s := st.s
-	slices.Sort(st.active)
 	st.cands = st.cands[:0]
 	st.shipUp, st.shipDown = st.shipUp[:0], st.shipDown[:0]
-	for _, idx := range st.active {
-		base := int(idx) * 5
-		for port := 0; port < 5; port++ {
-			q := &s.queues[base+port]
-			if q.len() == 0 {
-				continue
+	for wi, word := range st.occ {
+		for word != 0 {
+			bit := bits.TrailingZeros64(word)
+			word &= word - 1
+			idx := st.lo + wi<<6 + bit
+			base := idx * 5
+			busy := false
+			for port := 0; port < 5; port++ {
+				q := &s.queues[base+port]
+				if q.len() == 0 {
+					continue
+				}
+				busy = true
+				if port == local {
+					st.deliver(q, cycle)
+					continue
+				}
+				to := s.neighbor(idx, port)
+				if !preDecide || (to >= st.lo && to < st.hi) {
+					st.cands = append(st.cands, stripCand{src: int32(base + port), to: int32(to), kind: candIntra})
+					continue
+				}
+				st.preDecide(cycle, base+port, to)
 			}
-			if port == local {
-				st.deliver(q, cycle)
-				continue
+			if !busy {
+				st.occ[wi] &^= 1 << bit
 			}
-			to := s.neighbor(int(idx), port)
-			if !preDecide || (to >= st.lo && to < st.hi) {
-				st.cands = append(st.cands, stripCand{src: int32(base + port), to: int32(to), kind: candIntra})
-				continue
-			}
-			f := q.peek()
-			if s.defects != nil && (f.hops >= s.maxHops || cycle-int(f.injected) > s.cfg.WatchdogCycles) {
-				st.cands = append(st.cands, stripCand{src: int32(base + port), kind: candDrop})
-				continue
-			}
-			outPort, drop, blocked := s.routePort(to, f)
-			if drop {
-				st.cands = append(st.cands, stripCand{src: int32(base + port), kind: candDrop})
-				continue
-			}
-			if blocked {
-				f.detour = uint8(s.detourHops)
-				st.acc.detours++
-			} else if f.detour > 0 {
-				f.detour--
-			}
-			f.hops++
-			sh := ship{dq: int32(to*5 + outPort), f: f}
-			if to < st.lo {
-				st.shipUp = append(st.shipUp, sh)
-			} else {
-				st.shipDown = append(st.shipDown, sh)
-			}
-			st.cands = append(st.cands, stripCand{src: int32(base + port), kind: candShip})
 		}
 	}
+}
+
+// preDecide resolves one candidate whose destination router lies in a
+// neighboring strip: a drop is accounted here at apply time, a move ships
+// the advanced flit to the owner.
+func (st *strip) preDecide(cycle, src, to int) {
+	s := st.s
+	f := s.queues[src].peek()
+	if s.defects != nil && (f.hops >= s.maxHops || cycle-int(f.injected) > s.cfg.WatchdogCycles) {
+		st.cands = append(st.cands, stripCand{src: int32(src), kind: candDrop})
+		return
+	}
+	outPort, drop, blocked := s.routePort(to, f)
+	if drop {
+		st.cands = append(st.cands, stripCand{src: int32(src), kind: candDrop})
+		return
+	}
+	if blocked {
+		f.detour = uint8(s.detourHops)
+		st.acc.detours++
+	} else if f.detour > 0 {
+		f.detour--
+	}
+	f.hops++
+	sh := ship{dq: int32(to*5 + outPort), f: f}
+	if to < st.lo {
+		st.shipUp = append(st.shipUp, sh)
+	} else {
+		st.shipDown = append(st.shipDown, sh)
+	}
+	st.cands = append(st.cands, stripCand{src: int32(src), kind: candShip})
 }
 
 // applyCand services one candidate whose destination router is owned by
 // dst: the flit is dropped (detour TTL or fault), stalled (bounded full
 // queue), or moved one hop. In the sharded bounded-queue fallback the
 // coordinator calls this across strips; src and dst queues then may belong
-// to different strips, which is safe because the workers are parked at the
-// barrier.
+// to different strips, which is safe because the workers are waiting at the
+// cycle gate.
 func (s *simState) applyCand(c stripCand, cycle int, dst *strip) {
 	src := &s.queues[c.src]
 	f := src.peek()
@@ -333,21 +343,6 @@ func (st *strip) apply(cycle int, fromAbove, fromBelow []ship) {
 	}
 }
 
-// retire drops routers whose queues all drained this cycle from the active
-// worklist (newly activated destinations were appended during apply and
-// are re-checked here too, which keeps the list duplicate-free and tight).
-func (st *strip) retire() {
-	keep := st.active[:0]
-	for _, idx := range st.active {
-		if st.hasFlits(int(idx)) {
-			keep = append(keep, idx)
-		} else {
-			st.inActive[int(idx)-st.lo] = false
-		}
-	}
-	st.active = keep
-}
-
 // mergeStrips folds the strips' accumulators into s.res (on top of the
 // injection-time accounting newSimState left there) and returns it. Sums
 // and maxes only, so the merge order cannot change any field.
@@ -386,10 +381,11 @@ func ClampShards(n, rows int) int {
 	return n
 }
 
-// Worker phases, coordinated over one barrier each per cycle.
+// Worker phases, published through the cycle gate.
 const (
 	phaseCollect uint8 = iota // inject (when due) + collect/deliver
 	phaseApply                // service the merged candidate order
+	phaseExit                 // return: the run is over
 )
 
 type phaseCmd struct {
@@ -398,11 +394,66 @@ type phaseCmd struct {
 	inject bool
 }
 
+// gateSpins bounds how often a gate waiter re-checks the counter, yielding
+// with runtime.Gosched between checks, before it parks. A phase is tens of
+// microseconds of work and a park costs a futex wake-up of similar size, so
+// the spin is sized to outlast a typical strip imbalance: on the MobileNet
+// replay at 2 shards on a 2-core x86 VM, 1000 spins park on ~0.3 % of waits
+// against ~5 % at 100, and Simulate runs about a quarter faster. Parking
+// keeps a waiter from holding a P that the goroutine it waits for needs
+// (GOMAXPROCS below the shard count).
+const gateSpins = 1000
+
+// gate is a monotonic counter that goroutines wait on to reach a target.
+// All writes made before inc happen before the return of any wait that
+// observes the new count.
+type gate struct {
+	n      atomic.Uint64
+	parked atomic.Int32
+	mu     sync.Mutex
+	cond   *sync.Cond
+}
+
+func newGate() *gate {
+	g := &gate{}
+	g.cond = sync.NewCond(&g.mu)
+	return g
+}
+
+func (g *gate) inc() {
+	g.n.Add(1)
+	// A parking waiter bumps parked before its last check of n, and both
+	// are sequentially consistent: either that check sees the new n, or
+	// this load sees the waiter and wakes it.
+	if g.parked.Load() > 0 {
+		g.mu.Lock()
+		g.cond.Broadcast()
+		g.mu.Unlock()
+	}
+}
+
+func (g *gate) wait(target uint64) {
+	for i := 0; i < gateSpins; i++ {
+		if g.n.Load() >= target {
+			return
+		}
+		runtime.Gosched()
+	}
+	g.mu.Lock()
+	g.parked.Add(1)
+	for g.n.Load() < target {
+		g.cond.Wait()
+	}
+	g.parked.Add(-1)
+	g.mu.Unlock()
+}
+
 // simulateSharded is the event-driven engine's one driver: it owns the
 // cycle loop (limits, watchdog, cancellation, termination and idle
 // fast-forward, all computed from merged per-strip tallies) and runs the
-// strips through the two phases of each cycle — on one worker goroutine per
-// strip for Shards >= 2, inline on the caller's goroutine for one strip.
+// strips through the two phases of each cycle: strip 0 on the caller's
+// goroutine, strips 1..Shards-1 on one worker goroutine each, which exit
+// before it returns.
 func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 	cfg := s.cfg
 	shards := cfg.Shards
@@ -455,33 +506,45 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 				below = strips[i+1].shipUp
 			}
 			st.apply(cmd.cycle, above, below)
-			st.retire()
 		}
 	}
 	runPhase := func(cmd phaseCmd) { work(0, cmd) }
 	if shards > 1 {
-		var wg sync.WaitGroup
-		cmds := make([]chan phaseCmd, shards)
-		for i := range cmds {
-			cmds[i] = make(chan phaseCmd, 1)
+		// The cycle gate: the coordinator publishes cmd, bumps start, runs
+		// strip 0, then waits until done counts every worker's finish.
+		// Workers read cmd only after start passes their generation, and
+		// the coordinator rewrites it only after done, so cmd needs no
+		// lock; the strips' state is handed over the same way.
+		start, done := newGate(), newGate()
+		var cmd phaseCmd
+		var workers sync.WaitGroup
+		workers.Add(shards - 1)
+		for i := 1; i < shards; i++ {
 			go func() {
-				for cmd := range cmds[i] {
-					work(i, cmd)
-					wg.Done()
+				defer workers.Done()
+				for gen := uint64(1); ; gen++ {
+					start.wait(gen)
+					c := cmd
+					if c.phase == phaseExit {
+						return
+					}
+					work(i, c)
+					done.inc()
 				}
 			}()
 		}
+		var phases uint64
 		defer func() {
-			for _, c := range cmds {
-				close(c)
-			}
+			cmd = phaseCmd{phase: phaseExit}
+			start.inc()
+			workers.Wait()
 		}()
-		runPhase = func(cmd phaseCmd) {
-			wg.Add(shards)
-			for _, c := range cmds {
-				c <- cmd
-			}
-			wg.Wait()
+		runPhase = func(c phaseCmd) {
+			cmd = c
+			start.inc()
+			work(0, c)
+			phases++
+			done.wait(phases * uint64(shards-1))
 		}
 	}
 	pendingTrains := func() int {
@@ -503,7 +566,7 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 
 	for cycle := 0; ; cycle++ {
 		// Merged tallies as of the end of the previous cycle (workers are
-		// parked at the barrier, so reads are safe).
+		// waiting at the gate, so reads are safe).
 		var injections, delivered, dropped, entered, exited int64
 		for _, st := range strips {
 			injections += st.acc.injections
@@ -576,9 +639,6 @@ func simulateSharded(ctx context.Context, s *simState) (Result, error) {
 				for _, c := range st.cands {
 					s.applyCand(c, cycle, strips[rowToStrip[int(c.to)/s.mesh.Cols]])
 				}
-			}
-			for _, st := range strips {
-				st.retire()
 			}
 		}
 	}

@@ -3,10 +3,15 @@ package noc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"snnmap/internal/hw"
+	"snnmap/internal/obs"
 	"snnmap/internal/pcn"
 	"snnmap/internal/place"
 )
@@ -23,7 +28,47 @@ var shardSweep = []int{1, 2, 3, 7}
 // peaks. Run under -race this also proves the strip ownership discipline
 // (no queue is touched by two goroutines).
 func TestShardedMatchesReferenceSweep(t *testing.T) {
-	workloads := []struct {
+	for _, c := range sweepCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			for _, msg := range sweepMismatches([]sweepCase{c}, shardSweep) {
+				t.Error(msg)
+			}
+		})
+	}
+}
+
+// TestShardedOversubscribed runs the sweep with one P for up to seven
+// goroutines: every waiter at the cycle gate must yield to the strips it
+// waits for, so the runs finish in bounded time, and finish bit-identical.
+func TestShardedOversubscribed(t *testing.T) {
+	cases := sweepCases(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	done := make(chan []string, 1) // never blocks the sender after a timeout
+	go func() { done <- sweepMismatches(cases, []int{2, 7}) }()
+	select {
+	case msgs := <-done:
+		for _, msg := range msgs {
+			t.Error(msg)
+		}
+	case <-time.After(5 * time.Minute):
+		t.Fatal("sharded sweep at GOMAXPROCS=1 did not finish in 5 minutes")
+	}
+}
+
+type sweepCase struct {
+	name string
+	cfg  Config
+	p    *pcn.PCN
+	pl   *place.Placement
+}
+
+// sweepCases loads the sweep workloads: sparse injection waves, a long
+// tail, failed links, and the contended regime — a dense 16×16 mesh whose
+// queues grow hundreds of flits deep over thousands of cycles, with
+// unbounded and with bounded queues.
+func sweepCases(t *testing.T) []sweepCase {
+	var cases []sweepCase
+	for _, wl := range []struct {
 		name string
 		cfg  Config
 		load func(testing.TB) (*pcn.PCN, *place.Placement)
@@ -31,31 +76,51 @@ func TestShardedMatchesReferenceSweep(t *testing.T) {
 		{"sparse64x64", Config{InjectionInterval: 24}, sparse64x64Workload},
 		{"long-tail", Config{InjectionInterval: 4}, longTailWorkload},
 		{"faulted-links", Config{FaultAware: true}, faultedLinksWorkload},
+		{"dense16x16", Config{}, dense16x16Workload},
+		{"dense16x16/bounded", Config{QueueCap: 8}, dense16x16Workload},
+	} {
+		p, pl := wl.load(t)
+		cfg := wl.cfg
+		if wl.name == "faulted-links" {
+			cfg.Defects = faultedLinksDefects(t, pl.Mesh)
+		}
+		cases = append(cases, sweepCase{wl.name, cfg, p, pl})
 	}
-	for _, wl := range workloads {
-		t.Run(wl.name, func(t *testing.T) {
-			p, pl := wl.load(t)
-			cfg := wl.cfg
-			if wl.name == "faulted-links" {
-				cfg.Defects = faultedLinksDefects(t, pl.Mesh)
+	return cases
+}
+
+// sweepMismatches runs every case through the reference and through the
+// sharded engine at each shard count, and describes each Result that is
+// not bit-identical.
+func sweepMismatches(cases []sweepCase, shards []int) []string {
+	var msgs []string
+	for _, c := range cases {
+		want, err := SimulateReference(context.Background(), c.p, c.pl, c.cfg)
+		if err != nil {
+			msgs = append(msgs, fmt.Sprintf("%s: reference: %v", c.name, err))
+			continue
+		}
+		for _, n := range shards {
+			cfg := c.cfg
+			cfg.Shards = n
+			got, err := Simulate(c.p, c.pl, cfg)
+			switch {
+			case err != nil:
+				msgs = append(msgs, fmt.Sprintf("%s shards=%d: %v", c.name, n, err))
+			case !reflect.DeepEqual(got, want):
+				msgs = append(msgs, fmt.Sprintf("%s shards=%d: Result diverges from reference:\nsharded:   %+v\nreference: %+v", c.name, n, got, want))
 			}
-			want, err := SimulateReference(context.Background(), p, pl, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range shardSweep {
-				shardCfg := cfg
-				shardCfg.Shards = shards
-				got, err := Simulate(p, pl, shardCfg)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("shards=%d: Result diverges from reference:\nsharded:   %+v\nreference: %+v", shards, got, want)
-				}
-			}
-		})
+		}
 	}
+	return msgs
+}
+
+// dense16x16Workload is the contended regime: every core sends 400 spikes
+// half the mesh height away and one column over, so up to eight sources
+// share a vertical link, queues reach ~400 flits and the run lasts ~3200
+// cycles.
+func dense16x16Workload(t testing.TB) (*pcn.PCN, *place.Placement) {
+	return denseWorkload(t, 16, 400)
 }
 
 // faultedLinksWorkload reuses the random corpus generator on a 16×16 mesh
@@ -192,6 +257,60 @@ func TestShardedErrorPaths(t *testing.T) {
 	cancel()
 	if _, err := SimulateContext(ctx, p, pl, Config{Shards: 3}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled sharded run: got %v, want ErrCanceled", err)
+	}
+}
+
+// TestShardedWorkersExit pins the workers' lifetime: after a completed
+// run, a MaxCycles ErrLivelock and a context cancelled mid-run from another
+// goroutine, the goroutine count returns to its baseline.
+func TestShardedWorkersExit(t *testing.T) {
+	p, pl := dense16x16Workload(t)
+	longP, longPl := denseWorkload(t, 16, 2000) // ~16,000 cycles: long enough to cancel mid-run
+	base := runtime.NumGoroutine()
+	requireBaseline := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines still running, baseline %d", what, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, shards := range []int{2, 7} {
+		if _, err := Simulate(p, pl, Config{Shards: shards}); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		requireBaseline(fmt.Sprintf("shards=%d completed", shards))
+
+		if _, err := Simulate(p, pl, Config{Shards: shards, MaxCycles: 100}); !errors.Is(err, ErrLivelock) {
+			t.Fatalf("shards=%d MaxCycles=100: got %v, want ErrLivelock", shards, err)
+		}
+		requireBaseline(fmt.Sprintf("shards=%d livelock", shards))
+
+		// The first progress report with deliveries releases a goroutine
+		// that cancels the run, so the cancel lands while strips are busy.
+		ctx, cancel := context.WithCancel(context.Background())
+		progressed := make(chan struct{})
+		var once sync.Once
+		release := func() { once.Do(func() { close(progressed) }) }
+		go func() {
+			<-progressed
+			cancel()
+		}()
+		o := obs.New(obs.Config{ProgressEvery: time.Nanosecond, OnProgress: func(pr obs.Progress) {
+			if pr.Done > 0 {
+				release()
+			}
+		}})
+		res, err := SimulateContext(ctx, longP, longPl, Config{Shards: shards, Obs: o})
+		release()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("shards=%d mid-run cancel: got %v, want ErrCanceled", shards, err)
+		}
+		if res.Delivered == 0 || res.Delivered >= res.Injected {
+			t.Fatalf("shards=%d: cancel did not land mid-run: delivered %d of %d", shards, res.Delivered, res.Injected)
+		}
+		requireBaseline(fmt.Sprintf("shards=%d canceled", shards))
 	}
 }
 
